@@ -1,10 +1,12 @@
 //! Byte-identity pins for the reclamation paths.
 //!
-//! Four small deterministic runs — plain, chaos (server crashes +
+//! Five small deterministic runs — plain, chaos (server crashes +
 //! agent faults), guarded distress (emergency reinflation + OOM
-//! kills), and distress with live migration (rescue moves and their
-//! reserve–copy–commit accounting) — have their full run summaries
-//! committed under
+//! kills), distress with live migration (rescue moves and their
+//! reserve–copy–commit accounting), and that migration run under
+//! manager↔server partitions and manager crashes (the server-local
+//! controller acting alone, replayed at heal and recovery) — have
+//! their full run summaries committed under
 //! `tests/golden/`. Any refactor of the reclamation machinery (the
 //! `ReclaimSession` commit/rollback paths, the cascade, placement) must
 //! reproduce these summaries byte for byte; a behavioural change that
@@ -21,7 +23,7 @@ use cluster::manager::ClusterManagerConfig;
 use cluster::simulate::{run_cluster_sim, ClusterSimConfig};
 use cluster::traces::TraceConfig;
 use deflate_core::ResourceVector;
-use simkit::{FaultPlan, SimDuration};
+use simkit::{AdmissionOverflow, FaultPlan, ManagerPlan, PartitionPlan, SimDuration};
 
 fn base_cfg() -> ClusterSimConfig {
     ClusterSimConfig {
@@ -70,11 +72,36 @@ fn migration_cfg() -> ClusterSimConfig {
     cfg
 }
 
+/// The migration run with the control plane as a fault domain:
+/// manager↔server partitions and manager crashes (deferring overflowed
+/// arrivals). Exits, distress samples and OOM kills land behind
+/// partitions and during manager downtime, so the local controller's
+/// divergence logs are replayed at heal and at the recovery scan.
+fn partition_cfg() -> ClusterSimConfig {
+    let mut cfg = migration_cfg();
+    cfg.manager.faults = FaultPlan {
+        partitions: PartitionPlan {
+            prob: 0.1,
+            ..PartitionPlan::none()
+        },
+        manager: ManagerPlan {
+            prob: 0.1,
+            overflow: AdmissionOverflow::Defer,
+            ..ManagerPlan::none()
+        },
+        ..FaultPlan::none()
+    };
+    cfg
+}
+
 fn check(name: &str, cfg: &ClusterSimConfig, golden: &str) {
-    let got = run_cluster_sim(cfg).summary.to_pretty();
+    check_summary(name, &run_cluster_sim(cfg).summary.to_pretty(), golden);
+}
+
+fn check_summary(name: &str, got: &str, golden: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got).expect("write golden");
         return;
     }
     assert_eq!(
@@ -110,5 +137,26 @@ fn migration_summary_matches_golden() {
         "migration",
         &migration_cfg(),
         include_str!("golden/migration.json"),
+    );
+}
+
+#[test]
+fn partition_summary_matches_golden() {
+    let summary = run_cluster_sim(&partition_cfg()).summary;
+    // The run must actually exercise the control-plane fault paths, or
+    // the golden would pin a vacuous summary.
+    let counters = summary.get("counters").expect("counters");
+    for key in [
+        "cluster.partition_heals",
+        "cluster.recovery_scans",
+        "cluster.partition_divergence",
+    ] {
+        let n = counters.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+        assert!(n > 0.0, "{key} must be positive, got {n}");
+    }
+    check_summary(
+        "partition",
+        &summary.to_pretty(),
+        include_str!("golden/partition.json"),
     );
 }

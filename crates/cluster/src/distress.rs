@@ -128,12 +128,16 @@ impl DistressConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DistressEvent {
     /// The guest OOM killer fired: the VM died and must relaunch through
-    /// the crash path. The manager has already removed it.
+    /// the crash path. The server has already removed it.
     OomKill {
         /// The killed VM.
         vm: VmId,
         /// The server it ran on.
         server: ServerId,
+        /// Whether the manager watched the kill. `false` behind a
+        /// partition or while the manager is down: the relaunch waits
+        /// for the heal or recovery that settles it.
+        observed: bool,
     },
     /// The guest is thrashing: it completes work at `perf` (< 1) of its
     /// healthy rate for the past sample interval.

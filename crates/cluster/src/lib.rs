@@ -30,6 +30,7 @@
 //! reports, with no persisted snapshot. Every fault domain is empty by
 //! default and byte-identical when off.
 
+mod controller;
 pub mod distress;
 pub mod manager;
 pub mod migration;

@@ -1,7 +1,7 @@
 //! Cluster-simulation timing harness: runs trace-driven simulations with
-//! the placement index (`indexed`), with the pre-index naive-scan
-//! baseline (`naive`, `PlacementEngine::BaselineScan`), and with the
-//! cellular sharded simulator (`sharded`, `--cells` cells federated
+//! the placement index (`indexed`), with the fused naive scan the index
+//! is equivalence-tested against (`naive`, `PlacementEngine::NaiveScan`),
+//! and with the cellular sharded simulator (`sharded`, `--cells` cells federated
 //! under the epoch barrier), records wall-time and events/sec per run,
 //! and writes the machine-readable `BENCH_cluster.json` (schema v3) used
 //! to track the simulator's performance trajectory across PRs.
@@ -71,7 +71,7 @@ use simkit::{JsonValue, SimDuration};
 /// Chosen in the saturated/overload regime (mean utilization ≈ 0.985 at
 /// 1000 servers over 24 h, with sustained rejections) where nearly every
 /// arrival falls through the free tier into the availability tier — the
-/// naive scan's worst case (two full O(servers) passes per query) and
+/// naive scan's worst case (a full O(servers) pass per query) and
 /// exactly the pressure the placement index exists to absorb. At light
 /// load most queries stop in the free tier after a handful of probes and
 /// placement is not the bottleneck in either engine.
@@ -260,7 +260,7 @@ fn main() {
             n_servers,
             horizon_hours,
             rate,
-            PlacementEngine::BaselineScan,
+            PlacementEngine::NaiveScan,
             ShardingConfig::default(),
         ),
         runs,
@@ -307,7 +307,7 @@ fn main() {
                     n,
                     hours,
                     cell_rate,
-                    PlacementEngine::BaselineScan,
+                    PlacementEngine::NaiveScan,
                     ShardingConfig::default(),
                 ),
                 1,

@@ -18,10 +18,8 @@
 //! [`choose_server_with`] is the naive O(servers) oracle; the
 //! [`PlacementIndex`](crate::PlacementIndex) answers the same queries
 //! sublinearly and is equivalence-checked against this implementation
-//! (same tie-breaking, same RNG draws, same chosen server). The
-//! pre-index two-pass implementation survives as
-//! [`choose_server_baseline`], the baseline `bench_cluster` measures
-//! speedups against; [`PlacementEngine`] selects between the three.
+//! (same tie-breaking, same RNG draws, same chosen server).
+//! [`PlacementEngine`] selects between the two.
 
 use deflate_core::ResourceVector;
 use hypervisor::PhysicalServer;
@@ -97,21 +95,18 @@ pub(crate) fn draw_pair(rng: &mut SimRng, n: usize) -> (usize, usize) {
     (a, b)
 }
 
-/// Which implementation answers the manager's placement queries. All
-/// three are equivalence-tested to pick the *same server* on the same
-/// RNG stream; they differ only in how much work a query costs.
+/// Which implementation answers the manager's placement queries. Both
+/// are equivalence-tested to pick the *same server* on the same RNG
+/// stream; they differ only in how much work a query costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementEngine {
     /// The incrementally-maintained sublinear
     /// [`PlacementIndex`](crate::PlacementIndex) (the default).
     Indexed,
     /// [`choose_server_with`]: one fused O(servers) scan, no dyn
-    /// dispatch. Kept behind this config knob as the equivalence oracle.
+    /// dispatch. Kept behind this config knob as the equivalence oracle
+    /// and the `naive` column of `bench_cluster`.
     NaiveScan,
-    /// [`choose_server_baseline`]: the pre-index implementation (two
-    /// full passes through a `&dyn Fn` availability closure, fitness
-    /// recomputed per candidate), preserved as the benchmark baseline.
-    BaselineScan,
 }
 
 /// A VM placement policy.
@@ -280,70 +275,6 @@ pub fn choose_server_with(
                 }
             }
         }
-    }
-}
-
-/// The placement implementation this PR's index replaced, preserved as
-/// the benchmark baseline (and a second equivalence oracle): every query
-/// runs up to two full O(servers) passes — a free pass, then an
-/// availability pass — through a `&dyn Fn` availability closure, with
-/// the availability vector rebuilt and the cosine fitness recomputed per
-/// candidate. `bench_cluster`'s `naive` column runs this engine, so the
-/// recorded speedups measure the index against the code it replaced.
-///
-/// The one departure from the pre-index code is the `TwoChoices`
-/// distinct-pair bugfix, a semantics fix that must hold across every
-/// engine for all three to stay choice-identical on one RNG stream;
-/// `TwoChoices` therefore shares the fused implementation (its common
-/// case was never a full scan, so nothing baseline-relevant is lost).
-pub fn choose_server_baseline(
-    policy: PlacementPolicy,
-    servers: &[PhysicalServer],
-    demand: &ResourceVector,
-    mode: AvailabilityMode,
-    rng: &mut SimRng,
-) -> Option<usize> {
-    if policy == PlacementPolicy::TwoChoices {
-        return choose_server_with(policy, servers, demand, mode, rng);
-    }
-    let free_pass = baseline_pick(policy, servers, demand, &|s: &PhysicalServer| s.free());
-    if free_pass.is_some() {
-        return free_pass;
-    }
-    baseline_pick(policy, servers, demand, &|s: &PhysicalServer| {
-        availability(s, mode)
-    })
-}
-
-/// One full selection pass of the baseline scan: dyn-dispatched
-/// availability, rebuilt once to test fit and again to score.
-fn baseline_pick(
-    policy: PlacementPolicy,
-    servers: &[PhysicalServer],
-    demand: &ResourceVector,
-    avail: &dyn Fn(&PhysicalServer) -> ResourceVector,
-) -> Option<usize> {
-    let fits = |s: &PhysicalServer| s.placeable() && avail(s).dominates(demand);
-    let sc = |s: &PhysicalServer| {
-        let a = avail(s);
-        (a.cosine_similarity(demand), a.norm())
-    };
-    match policy {
-        PlacementPolicy::FirstFit => servers.iter().position(fits),
-        PlacementPolicy::BestFit => {
-            let mut best: Option<(usize, (f64, f64))> = None;
-            for (i, s) in servers.iter().enumerate() {
-                if !fits(s) {
-                    continue;
-                }
-                let cand = sc(s);
-                if best.map_or(true, |(_, bs)| better(cand, bs)) {
-                    best = Some((i, cand));
-                }
-            }
-            best.map(|(i, _)| i)
-        }
-        PlacementPolicy::TwoChoices => unreachable!("TwoChoices shares the fused scan"),
     }
 }
 

@@ -213,15 +213,14 @@ impl Table {
 /// prints this after its tables so harnesses can scrape results without
 /// parsing markdown.
 pub fn run_summary(run: &str, tables: &[Table], wall_time_s: f64) -> simkit::JsonValue {
-    let mut obs = simkit::Observability::new();
+    let mut metrics = simkit::MetricsRegistry::new();
     for t in tables {
-        obs.metrics.incr("bench.tables");
-        obs.metrics.add("bench.rows", t.rows.len() as u64);
-        obs.metrics
-            .observe("bench.rows_per_table", t.rows.len() as f64);
+        metrics.incr("bench.tables");
+        metrics.add("bench.rows", t.rows.len() as u64);
+        metrics.observe("bench.rows_per_table", t.rows.len() as f64);
     }
-    obs.metrics.observe("bench.wall_time_s", wall_time_s);
-    let mut doc = obs.run_summary(run);
+    metrics.observe("bench.wall_time_s", wall_time_s);
+    let mut doc = metrics.run_summary(run);
     let mut tables_json = simkit::JsonValue::object();
     for t in tables {
         tables_json.set(

@@ -32,6 +32,7 @@
 
 mod controller;
 pub mod distress;
+pub mod journal;
 pub mod manager;
 pub mod migration;
 pub mod partition;
@@ -43,6 +44,7 @@ pub mod simulate;
 pub mod traces;
 
 pub use distress::{DistressConfig, DistressEvent};
+pub use journal::{Journal, Layer, Record};
 pub use manager::{
     ClusterManager, ClusterManagerConfig, ClusterStats, LaunchOutcome, ServerFailure,
 };

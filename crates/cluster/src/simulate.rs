@@ -742,8 +742,7 @@ impl SimCell {
                 // Reconstruction done: drain the admission queue FIFO.
                 while let Some(qa) = self.queue.pop_front() {
                     self.manager
-                        .observability_mut()
-                        .metrics
+                        .metrics_mut()
                         .observe("failover.queue_wait_s", (now - qa.parked_at).as_secs_f64());
                     match qa.oom {
                         None => {
@@ -770,8 +769,7 @@ impl SimCell {
                     // The manager recovered between the overflow and this
                     // retry: admit directly, charging the full wait.
                     self.manager
-                        .observability_mut()
-                        .metrics
+                        .metrics_mut()
                         .observe("failover.queue_wait_s", (now - parked_at).as_secs_f64());
                     match oom {
                         None => self.admit_fresh(sched, now, *req),
@@ -808,10 +806,7 @@ impl SimCell {
             Some(*server)
         } else {
             if self.spill {
-                self.manager
-                    .observability_mut()
-                    .metrics
-                    .incr("cluster.spills_offered");
+                self.manager.metrics_mut().incr("cluster.spills_offered");
                 self.outbox.push(req);
             }
             None
@@ -843,8 +838,7 @@ impl SimCell {
                 "fault.restart_latency_s"
             };
             self.manager
-                .observability_mut()
-                .metrics
+                .metrics_mut()
                 .observe(key, (now - lost_at).as_secs_f64());
             Some(*server)
         } else {
@@ -853,7 +847,7 @@ impl SimCell {
             } else {
                 "fault.relaunch_rejected"
             };
-            self.manager.observability_mut().metrics.incr(key);
+            self.manager.metrics_mut().incr(key);
             None
         }
     }
@@ -870,7 +864,7 @@ impl SimCell {
         oom: Option<bool>,
         parked_at: SimTime,
     ) {
-        let metrics = &mut self.manager.observability_mut().metrics;
+        let metrics = &mut self.manager.metrics_mut();
         if self.queue.len() < self.mgr_plan.queue_cap {
             metrics.incr("cluster.admission_queue_parked");
             self.queue.push_back(QueuedArrival {
@@ -1015,10 +1009,7 @@ impl SimCell {
                 },
             );
         }
-        self.manager
-            .observability_mut()
-            .metrics
-            .incr("cluster.spills_in");
+        self.manager.metrics_mut().incr("cluster.spills_in");
         self.refresh_gauges(now, Some(server));
         true
     }
@@ -1215,8 +1206,7 @@ fn run_sharded(cfg: &ClusterSimConfig, mut source: Source) -> ClusterSimResult {
                     cells[home]
                         .0
                         .manager
-                        .observability_mut()
-                        .metrics
+                        .metrics_mut()
                         .incr("cluster.spills_out");
                 } else {
                     spills_rejected += 1;

@@ -276,7 +276,7 @@ fn breaker_open_and_close_stay_symmetric() {
     assert!(!m.breaker_open(a), "healthy streak must close the breaker");
     m.assert_consistent();
 
-    let metrics = &m.observability().metrics;
+    let metrics = &m.metrics();
     assert_eq!(metrics.count("cluster.breaker_trips"), 1);
     assert_eq!(metrics.count("distress.breaker_closed"), 1);
 }

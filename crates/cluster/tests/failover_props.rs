@@ -43,7 +43,7 @@ fn small_cluster(n_servers: usize) -> ClusterManager {
 /// The counters a departure moves: survivor reinflations (stats and
 /// metric) and the departed guest's hot-plug activity.
 fn departure_counters(m: &ClusterManager) -> [u64; 5] {
-    let count = |key| m.observability().metrics.count(key);
+    let count = |key| m.metrics().count(key);
     [
         m.stats().reinflations,
         count("cluster.reinflations"),
@@ -179,12 +179,12 @@ proptest! {
         prop_assert_eq!(part.stats().manager_crashes, 1);
         prop_assert_eq!(oracle.stats().manager_crashes, 0);
         prop_assert_eq!(
-            part.observability().metrics.count("cluster.exits"),
-            oracle.observability().metrics.count("cluster.exits")
+            part.metrics().count("cluster.exits"),
+            oracle.metrics().count("cluster.exits")
         );
         prop_assert_eq!(
-            part.observability().metrics.count("cluster.server_recoveries"),
-            oracle.observability().metrics.count("cluster.server_recoveries")
+            part.metrics().count("cluster.server_recoveries"),
+            oracle.metrics().count("cluster.server_recoveries")
         );
         prop_assert_eq!(departure_counters(&part), departure_counters(&oracle));
 
@@ -389,12 +389,7 @@ fn manager_crash_aborts_inflight_migrations_through_recovery() {
         }
     }
     assert!(started > 0, "at least one migration must start");
-    assert_eq!(
-        m.observability()
-            .metrics
-            .count("cluster.migrations_started"),
-        started
-    );
+    assert_eq!(m.metrics().count("cluster.migrations_started"), started);
     let origins: Vec<(VmId, Option<ServerId>)> =
         moving.iter().map(|vm| (*vm, m.server_of(*vm))).collect();
 
@@ -404,12 +399,7 @@ fn manager_crash_aborts_inflight_migrations_through_recovery() {
     // sweep reaches first).
     let crash_at = SimTime::from_secs(150);
     assert!(m.crash_manager(crash_at));
-    assert_eq!(
-        m.observability()
-            .metrics
-            .count("cluster.migrations_aborted"),
-        started
-    );
+    assert_eq!(m.metrics().count("cluster.migrations_aborted"), started);
     m.assert_consistent();
 
     // The scheduled cut-over fires into the void: no session, no-op.

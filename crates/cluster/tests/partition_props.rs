@@ -41,7 +41,7 @@ fn small_cluster(n_servers: usize) -> ClusterManager {
 /// The counters a departure moves: survivor reinflations (stats and
 /// metric) and the departed guest's hot-plug activity.
 fn departure_counters(m: &ClusterManager) -> [u64; 5] {
-    let count = |key| m.observability().metrics.count(key);
+    let count = |key| m.metrics().count(key);
     [
         m.stats().reinflations,
         count("cluster.reinflations"),
@@ -177,7 +177,7 @@ proptest! {
         // partition targeted a reachable server and every heal a
         // partitioned one, so the release-mode no-op counter stays zero
         // (an illegal call would have debug-panicked above anyway).
-        prop_assert_eq!(m.observability().metrics.count("cluster.fault_noops"), 0);
+        prop_assert_eq!(m.metrics().count("cluster.fault_noops"), 0);
     }
 
     /// Convergence: the same operations applied behind a partition (and
@@ -268,8 +268,8 @@ proptest! {
         prop_assert_eq!(part.stats().preempted, oracle.stats().preempted);
         prop_assert_eq!(part.stats().server_crashes, oracle.stats().server_crashes);
         prop_assert_eq!(
-            part.observability().metrics.count("cluster.exits"),
-            oracle.observability().metrics.count("cluster.exits")
+            part.metrics().count("cluster.exits"),
+            oracle.metrics().count("cluster.exits")
         );
         prop_assert_eq!(departure_counters(&part), departure_counters(&oracle));
     }

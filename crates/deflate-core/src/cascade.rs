@@ -12,10 +12,10 @@
 //! drives the simulated substrate in this workspace and could drive a
 //! libvirt-backed implementation unchanged.
 
-use simkit::{SimDuration, SimTime, Span};
+use simkit::{SimDuration, SimTime};
 
 use crate::layers::{ApplicationAgent, GuestOs, HypervisorControl};
-use crate::resources::{ResourceKind, ResourceVector};
+use crate::resources::ResourceVector;
 
 /// How a layer that falls short of its request is retried.
 ///
@@ -253,31 +253,11 @@ pub struct CascadeOutcome {
     pub escalations: u32,
 }
 
-/// Appends one attribute per resource kind: `<prefix>.cpu`,
-/// `<prefix>.memory`, ...
-fn vector_attrs(mut span: Span, prefix: &str, v: &ResourceVector) -> Span {
-    for kind in ResourceKind::ALL {
-        span = span.with_attr(&format!("{prefix}.{}", kind.name()), v.get(kind));
-    }
-    span
-}
-
 impl LayerReport {
     /// Whether the layer was engaged at all (asked for something, gave
     /// something, or spent time trying).
     pub fn engaged(&self) -> bool {
         !self.requested.is_zero() || !self.reclaimed.is_zero() || !self.latency.is_zero()
-    }
-
-    /// Builds the per-layer child span (`cascade.layer`) carrying this
-    /// report's requested/reclaimed/latency payload.
-    pub fn to_span(&self, layer: &str, at: SimTime) -> Span {
-        let span = Span::new("cascade.layer", at)
-            .with_duration(self.latency)
-            .with_attr("layer", layer)
-            .with_attr("attempts", u64::from(self.attempts));
-        let span = vector_attrs(span, "requested", &self.requested);
-        vector_attrs(span, "reclaimed", &self.reclaimed)
     }
 }
 
@@ -285,32 +265,6 @@ impl CascadeOutcome {
     /// Returns `true` when the full target was reclaimed.
     pub fn met_target(&self) -> bool {
         self.shortfall.is_zero()
-    }
-
-    /// Builds a structured `cascade.deflate` trace span for this outcome,
-    /// with one `cascade.layer` child per engaged layer. `at` is when the
-    /// cascade started; callers attach context (VM id, server) with
-    /// [`Span::with_attr`].
-    pub fn to_span(&self, at: SimTime) -> Span {
-        let mut span = Span::new("cascade.deflate", at)
-            .with_duration(self.latency)
-            .with_attr("met_target", self.met_target())
-            .with_attr("retries", u64::from(self.retries))
-            .with_attr("escalations", u64::from(self.escalations));
-        span = vector_attrs(span, "total_reclaimed", &self.total_reclaimed);
-        span = vector_attrs(span, "shortfall", &self.shortfall);
-        let mut t = at;
-        for (name, report) in [
-            ("app", &self.app),
-            ("os", &self.os),
-            ("hypervisor", &self.hypervisor),
-        ] {
-            if report.engaged() {
-                span = span.with_child(report.to_span(name, t));
-            }
-            t = t.saturating_add(report.latency);
-        }
-        span
     }
 }
 
@@ -908,75 +862,6 @@ mod tests {
         // Ask for twice as much back; get only the deflated half.
         let got = reinflate_vm(SimTime::ZERO, &target(), None, &mut os, &mut hv);
         assert!(got.approx_eq(&half, 1e-9), "got {got}");
-    }
-
-    #[test]
-    fn outcome_span_carries_layer_payloads() {
-        let mut os = FakeOs::new(ResourceVector::new(1.0, 4_096.0, 50.0, 100.0));
-        let mut hv = FakeHv::new();
-        let mut agent = FractionAgent(0.5);
-        let out = deflate_vm(
-            SimTime::ZERO,
-            &target(),
-            Some(&mut agent),
-            &mut os,
-            &mut hv,
-            &CascadeConfig::FULL,
-        );
-        let span = out.to_span(SimTime::from_secs(3)).with_attr("vm", "vm-9");
-        assert_eq!(span.kind, "cascade.deflate");
-        assert_eq!(span.at, SimTime::from_secs(3));
-        assert_eq!(span.duration, out.latency);
-        assert_eq!(
-            span.attr("met_target").and_then(|v| v.as_bool()),
-            Some(true)
-        );
-        assert_eq!(
-            span.attr("total_reclaimed.cpu").and_then(|v| v.as_f64()),
-            Some(2.0)
-        );
-        assert_eq!(span.children.len(), 3);
-        let layers: Vec<&str> = span
-            .children
-            .iter()
-            .filter_map(|c| c.attr("layer").and_then(|v| v.as_str()))
-            .collect();
-        assert_eq!(layers, vec!["app", "os", "hypervisor"]);
-        let app = &span.children[0];
-        assert_eq!(
-            app.attr("requested.cpu").and_then(|v| v.as_f64()),
-            Some(2.0)
-        );
-        assert_eq!(
-            app.attr("reclaimed.cpu").and_then(|v| v.as_f64()),
-            Some(1.0)
-        );
-        assert_eq!(app.duration, SimDuration::from_millis(100));
-        // Children start when their layer ran, sequentially.
-        assert_eq!(
-            span.children[1].at,
-            SimTime::from_secs(3) + SimDuration::from_millis(100)
-        );
-    }
-
-    #[test]
-    fn outcome_span_skips_idle_layers() {
-        let mut os = FakeOs::new(target());
-        let mut hv = FakeHv::new();
-        let out = deflate_vm(
-            SimTime::ZERO,
-            &target(),
-            None,
-            &mut os,
-            &mut hv,
-            &CascadeConfig::HYPERVISOR_ONLY,
-        );
-        let span = out.to_span(SimTime::ZERO);
-        assert_eq!(span.children.len(), 1);
-        assert_eq!(
-            span.children[0].attr("layer").and_then(|v| v.as_str()),
-            Some("hypervisor")
-        );
     }
 
     #[test]

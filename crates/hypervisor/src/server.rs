@@ -15,7 +15,7 @@ use deflate_core::{
     proportional_reinflation, proportional_targets, CascadeConfig, CascadeOutcome, ResourceVector,
     ServerId, VmDeflationState, VmId,
 };
-use simkit::{SimDuration, SimTime, Span};
+use simkit::{SimDuration, SimTime};
 
 use crate::session::ReclaimSession;
 use crate::vm::{Vm, VmPriority};
@@ -499,30 +499,6 @@ pub struct ReclaimReport {
     pub satisfied: bool,
 }
 
-impl ReclaimReport {
-    /// Builds a structured `server.make_room` trace span: one
-    /// `cascade.deflate` child (with its per-layer payload) per deflated
-    /// VM, and one `server.preempt` child per preempted VM.
-    pub fn to_span(&self, at: SimTime, server: ServerId) -> Span {
-        let mut span = Span::new("server.make_room", at)
-            .with_duration(self.latency)
-            .with_attr("server", server.0)
-            .with_attr("satisfied", self.satisfied)
-            .with_attr("deflated_vms", self.outcomes.len())
-            .with_attr("preempted_vms", self.preempted.len());
-        for k in deflate_core::ResourceKind::ALL {
-            span = span.with_attr(&format!("freed.{}", k.name()), self.freed.get(k));
-        }
-        for (id, out) in &self.outcomes {
-            span = span.with_child(out.to_span(at).with_attr("vm", id.to_string()));
-        }
-        for id in &self.preempted {
-            span = span.with_child(Span::new("server.preempt", at).with_attr("vm", id.to_string()));
-        }
-        span
-    }
-}
-
 /// Per-VM fault conditions the local controller must work around during
 /// one reclamation round; computed by the cluster manager from its fault
 /// injector and agent-liveness tracking. The default (no faults) leaves
@@ -934,49 +910,6 @@ mod tests {
         for vm in s.vms() {
             assert!(vm.max_deflation() < 1e-6, "still deflated: {vm:?}");
         }
-    }
-
-    #[test]
-    fn make_room_report_converts_to_span() {
-        let mut s = server_with_low_vms(4);
-        let ctl = LocalController::new(CascadeConfig::VM_LEVEL);
-        let r = ctl.make_room(SimTime::ZERO, &mut s, &vm_spec()).commit();
-        let span = r.to_span(SimTime::from_secs(5), ServerId(1));
-        assert_eq!(span.kind, "server.make_room");
-        assert_eq!(span.attr("server").and_then(|a| a.as_f64()), Some(1.0));
-        assert_eq!(span.attr("satisfied").and_then(|a| a.as_bool()), Some(true));
-        assert_eq!(
-            span.attr("deflated_vms").and_then(|a| a.as_f64()),
-            Some(4.0)
-        );
-        let freed_cpu = span.attr("freed.cpu").and_then(|a| a.as_f64()).unwrap();
-        assert!((freed_cpu - vm_spec().get(deflate_core::ResourceKind::Cpu)).abs() < 1e-6);
-        // One cascade.deflate child per deflated VM, each tagged with its VM.
-        let children: Vec<_> = span
-            .children
-            .iter()
-            .filter(|c| c.kind == "cascade.deflate")
-            .collect();
-        assert_eq!(children.len(), 4);
-        assert!(children.iter().all(|c| c.attr("vm").is_some()));
-    }
-
-    #[test]
-    fn preemptions_appear_as_span_children() {
-        let mut s = PhysicalServer::new(ServerId(7), vm_spec().scale(2.0));
-        for i in 0..2 {
-            s.add_vm(Vm::new(VmId(i), vm_spec(), VmPriority::Low).with_min(vm_spec().scale(0.9)));
-        }
-        let ctl = LocalController::new(CascadeConfig::VM_LEVEL);
-        let r = ctl.make_room(SimTime::ZERO, &mut s, &vm_spec()).commit();
-        assert!(!r.preempted.is_empty());
-        let span = r.to_span(SimTime::ZERO, ServerId(7));
-        let preempts = span
-            .children
-            .iter()
-            .filter(|c| c.kind == "server.preempt")
-            .count();
-        assert_eq!(preempts, r.preempted.len());
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!   implemented from first principles to avoid external distribution crates.
 //! * [`metrics`] — time-series, time-weighted gauges, counters and histograms
 //!   with CSV export, used by the benchmark harness to print paper figures.
-//! * [`MetricsRegistry`], [`Span`], [`Observability`] — the unified
-//!   observability layer: metrics addressed by hierarchical dotted key,
-//!   structured trace spans with per-layer payloads, and JSON/CSV run
-//!   summaries ([`json::JsonValue`] is the dependency-free document model).
+//! * [`MetricsRegistry`] — metrics addressed by hierarchical dotted key,
+//!   exported as JSON/CSV run summaries ([`json::JsonValue`] is the
+//!   dependency-free document model).
 //!
 //! # Examples
 //!
@@ -45,20 +44,16 @@ pub mod fault;
 pub mod hash;
 pub mod json;
 pub mod metrics;
-pub mod observe;
 pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{run, run_until, EventQueue, Scheduler};
 pub use fault::{AdmissionOverflow, FaultInjector, FaultPlan, ManagerPlan, PartitionPlan};
 pub use hash::SeqHash;
 pub use json::JsonValue;
 pub use metrics::{Counter, Histogram, MetricSet, MetricsRegistry, TimeSeries, TimeWeightedGauge};
-pub use observe::Observability;
 pub use par::parallel_map_workers;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{AttrValue, Span, TraceEvent, TraceLog};

@@ -1,5 +1,5 @@
-//! Tour of the unified observability layer: metrics registry, structured
-//! cascade trace spans, and machine-readable run summaries.
+//! Tour of the observability surface: the typed lifecycle journal, the
+//! metrics registry, and the machine-readable run summary.
 //!
 //! ```text
 //! cargo run -p bench --example observability
@@ -7,12 +7,13 @@
 //!
 //! Three views of the same small cluster run are printed:
 //!
-//! 1. one structured `server.make_room` span, with its per-VM
-//!    `cascade.deflate` children and their per-layer payloads, as JSON;
+//! 1. the first `server.make_room` record and the cascade records that
+//!    follow it (per-VM `cascade.deflate`, per-layer `cascade.layer`), as
+//!    text;
 //! 2. the metrics registry as CSV;
 //! 3. the aggregate run summary as pretty JSON.
 
-use cluster::{ClusterManager, ClusterManagerConfig, VmRequest};
+use cluster::{ClusterManager, ClusterManagerConfig, Record, VmRequest};
 use deflate_core::{ResourceVector, VmId};
 use simkit::{SimDuration, SimTime};
 
@@ -45,17 +46,21 @@ fn main() {
     // Folds gauge history up to the end of the run.
     let summary = m.run_summary(SimTime::from_secs(3_600), "observability_example");
 
-    println!("== structured cascade span (first server.make_room) ==\n");
-    let span = m
-        .observability()
-        .trace
-        .spans_by_kind("server.make_room")
-        .next()
+    println!("== cascade records (first server.make_room) ==\n");
+    let entries = m.journal().entries();
+    let first = entries
+        .iter()
+        .position(|(_, r)| matches!(r, Record::MakeRoom { .. }))
         .expect("the 5th launch forced deflation");
-    println!("{}", span.to_json().to_pretty());
+    let cascade = entries[first + 1..]
+        .iter()
+        .take_while(|(_, r)| !matches!(r, Record::MakeRoom { .. } | Record::Launched { .. }));
+    for (at, record) in std::iter::once(&entries[first]).chain(cascade) {
+        println!("[{at}] {record}");
+    }
 
     println!("\n== metrics registry (CSV) ==\n");
-    print!("{}", m.observability_mut().metrics.to_csv());
+    print!("{}", m.metrics_mut().to_csv());
 
     println!("\n== run summary (JSON) ==\n");
     println!("{}", summary.to_pretty());

@@ -151,13 +151,13 @@ fn colocation_story_end_to_end() {
         "reinflation should restore the workers: {fractions_after:?}"
     );
 
-    // The lifecycle trace recorded the whole story.
-    let log = manager.log();
-    assert_eq!(log.count("launch"), 12);
-    assert!(log.count("deflate") >= 8);
-    assert_eq!(log.count("exit"), 4);
-    assert!(log.count("reinflate") >= 8);
-    assert_eq!(log.count("preempt"), 0);
+    // The lifecycle journal recorded the whole story.
+    let log = manager.journal();
+    assert_eq!(log.count("cluster.launch"), 12);
+    assert!(log.count("cascade.deflate") >= 8);
+    assert_eq!(log.count("cluster.exit"), 4);
+    assert!(log.count("cluster.reinflate") >= 8);
+    assert_eq!(log.count("server.preempt"), 0);
 }
 
 /// The same pressure handled by a preemption-only manager kills half the

@@ -98,10 +98,6 @@ fn sim_cfg(
         manager: ClusterManagerConfig {
             n_servers,
             engine,
-            // Per-event trace strings cost more than the placement work
-            // being measured; off for BOTH columns so the comparison is
-            // placement-dominated rather than formatting-dominated.
-            lifecycle_trace: false,
             ..ClusterManagerConfig::default()
         },
         trace: TraceConfig {

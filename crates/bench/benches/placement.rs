@@ -1,12 +1,17 @@
 //! Micro-benchmarks of deflation-aware placement: the naive full scan
-//! vs the bucketed-skyline [`PlacementIndex`], over lightly-loaded
-//! (200 servers) and heavily-loaded (1000 servers, ~90 % committed)
-//! pools. The loaded pool is where the index's dominant-dimension
-//! pruning pays: most servers cannot fit the demand and are never
-//! touched.
+//! vs the [`PlacementIndex`], over three pools:
+//!
+//! * lightly loaded, 200 servers (naive scan only);
+//! * heavily loaded, 1000 servers at ~90 % committed, where the index's
+//!   histogram planner pays: most servers cannot fit the demand and are
+//!   never touched;
+//! * lightly loaded, 4000 servers of discrete VM sizes, where nearly
+//!   every server fits and BestFit scores the few distinct free vectors
+//!   (free-vector classes) instead of every server.
 
 use cluster::placement::{choose_server, PlacementPolicy};
-use cluster::{AvailabilityMode, PlacementIndex};
+use cluster::traces::default_instance_types;
+use cluster::{AvailabilityMode, ClusterManagerConfig, PlacementIndex};
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflate_core::{ResourceVector, ServerId, VmId};
 use hypervisor::{PhysicalServer, Vm, VmPriority};
@@ -70,6 +75,25 @@ fn build_loaded_pool(n: u64) -> Vec<PhysicalServer> {
         .collect()
 }
 
+/// A light fleet (~30 % committed) of default-capacity servers hosting
+/// default instance types: thousands of servers, a dozen or so distinct
+/// free vectors.
+fn build_light_discrete_pool(n: u64) -> Vec<PhysicalServer> {
+    let capacity = ClusterManagerConfig::default().server_capacity;
+    let types = default_instance_types();
+    let mut rng = SimRng::seed_from_u64(17);
+    (0..n)
+        .map(|i| {
+            let mut s = PhysicalServer::new(ServerId(i), capacity);
+            for j in 0..rng.index(4) as u64 {
+                let spec = types[rng.index(types.len())].spec;
+                s.add_vm(Vm::new(VmId(i * 10 + j), spec, VmPriority::High));
+            }
+            s
+        })
+        .collect()
+}
+
 fn bench_placement(c: &mut Criterion) {
     let servers = build_pool(200);
     let demand = ResourceVector::new(4.0, 8_192.0, 100.0, 200.0);
@@ -125,5 +149,40 @@ fn bench_placement_indexed(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_placement, bench_placement_indexed);
+fn bench_placement_light_classes(c: &mut Criterion) {
+    let servers = build_light_discrete_pool(4000);
+    let index = PlacementIndex::new(&servers);
+    let demand = default_instance_types()[1].spec;
+    let policy = PlacementPolicy::BestFit;
+    c.bench_function("placement/naive/best-fit_4000_light", |b| {
+        let mut rng = SimRng::seed_from_u64(7);
+        b.iter(|| {
+            black_box(choose_server(
+                policy,
+                black_box(&servers),
+                black_box(&demand),
+                &mut rng,
+            ))
+        })
+    });
+    c.bench_function("placement/indexed/best-fit_4000_light", |b| {
+        let mut rng = SimRng::seed_from_u64(7);
+        b.iter(|| {
+            black_box(index.choose(
+                policy,
+                black_box(&servers),
+                black_box(&demand),
+                AvailabilityMode::Deflation,
+                &mut rng,
+            ))
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_placement,
+    bench_placement_indexed,
+    bench_placement_light_classes
+);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! is equivalence-tested against (`naive`, `PlacementEngine::NaiveScan`),
 //! and with the cellular sharded simulator (`sharded`, `--cells` cells federated
 //! under the epoch barrier), records wall-time and events/sec per run,
-//! and writes the machine-readable `BENCH_cluster.json` (schema v3) used
+//! and writes the machine-readable `BENCH_cluster.json` (schema v4) used
 //! to track the simulator's performance trajectory across PRs.
 //!
 //! ```text
@@ -13,24 +13,27 @@
 //!
 //! * default: the paper-scale primary configuration (100 servers, 24 h
 //!   horizon, the Fig. 8c default trace) — the number quoted in
-//!   acceptance gates — plus a cloud-scale sweep (100 → 100k servers,
-//!   arrivals scaled proportionally, shorter horizons at the largest
-//!   sizes; the naive O(servers)-per-event column stops at 10k);
+//!   acceptance gates — plus a cloud-scale sweep in two regimes:
+//!   saturated (100 → 100k servers) and light (1k → 50k servers), with
+//!   arrivals scaled proportionally and shorter horizons at the largest
+//!   sizes; the naive O(servers)-per-event column stops at 10k;
 //! * `--small`: a CI-sized primary (20 servers, 6 h), no sweep;
 //! * `--scale`: the sweep only (skips the primary's repeat runs);
-//! * `--scale-smoke`: a single 1000-server, 2 h sweep cell for CI;
+//! * `--scale-smoke`: one saturated (2 h) and one light (12 h)
+//!   1000-server sweep row for CI;
 //! * `--cells N`: cell count for the sweep's sharded column (default 8);
 //! * `--threads N`: worker threads for the sharded column (default 0 =
 //!   one per core; results are thread-count invariant, only wall time
 //!   moves).
 //!
-//! Output schema v3 (`BENCH_cluster.json`) — every row carries its full
+//! Output schema v4 (`BENCH_cluster.json`) — every row carries its full
 //! configuration (rows use different horizons, so per-row recording is
-//! the only unambiguous form):
+//! the only unambiguous form), its load regime and the indexed run's
+//! mean utilization:
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "config": {"n_servers": ..., "horizon_hours": ..., "arrivals_per_hour": ...,
 //!              "cells": 1, "threads": 0, "runs": ...},
 //!   "runs": [{"wall_time_s": ..., "events": ..., "events_per_sec": ...}, ...],
@@ -42,6 +45,8 @@
 //!   "scale_sweep": [
 //!     {"config": {"n_servers": ..., "horizon_hours": ..., "arrivals_per_hour": ...,
 //!                 "cells": ..., "threads": ...},
+//!      "regime": "saturated" | "light",
+//!      "mean_utilization": ...,        // indexed run
 //!      "naive": {...} | null,          // null above 10k servers
 //!      "indexed": {...},               // single-cell
 //!      "sharded": {...},               // --cells cells, epoch barrier
@@ -67,15 +72,20 @@ use cluster::{
 };
 use simkit::{JsonValue, SimDuration};
 
-/// Offered load for the scale-sweep cells, in arrivals per server-hour.
-/// Chosen in the saturated/overload regime (mean utilization ≈ 0.985 at
-/// 1000 servers over 24 h, with sustained rejections) where nearly every
-/// arrival falls through the free tier into the availability tier — the
-/// naive scan's worst case (a full O(servers) pass per query) and
-/// exactly the pressure the placement index exists to absorb. At light
-/// load most queries stop in the free tier after a handful of probes and
-/// placement is not the bottleneck in either engine.
+/// Offered load for the saturated scale-sweep rows, in arrivals per
+/// server-hour. Chosen in the overload regime (mean utilization ≈ 0.985
+/// at 1000 servers over 24 h, with sustained rejections) where nearly
+/// every arrival falls through the free tier into the availability tier
+/// — the naive scan's worst case (a full O(servers) pass per query) and
+/// the pressure the histogram planner exists to absorb.
 const SWEEP_RATE_PER_SERVER_HOUR: f64 = 10.0;
+
+/// Offered load for the light scale-sweep rows (mean utilization ≈ 0.3
+/// over 12 h). Nearly every server free-fits each arrival, so BestFit
+/// has the whole fleet to rank: scanning it costs O(servers) per arrival
+/// in either engine, which made BestFit ≈ 93% of wall time at 4k servers
+/// before the index scored free-vector classes instead of servers.
+const LIGHT_RATE_PER_SERVER_HOUR: f64 = 1.0;
 
 /// Largest fleet the naive O(servers)-per-event column still runs at;
 /// above this only indexed and sharded columns are measured.
@@ -266,27 +276,37 @@ fn main() {
         best(&indexed_runs).events_per_sec / best(&naive_runs).events_per_sec.max(1e-9);
     eprintln!("  primary speedup (indexed/naive, best events/s): {primary_speedup:.2}x");
 
-    // Scale sweep: arrivals scale with fleet size (see
-    // SWEEP_RATE_PER_SERVER_HOUR), horizons shrink at the largest sizes
-    // so the single-cell column stays tractable. The naive column stops
-    // at NAIVE_MAX_SERVERS.
-    let sweep_cells: &[(usize, f64)] = match mode {
+    // Scale sweep: arrivals scale with fleet size at a saturated or a
+    // light per-server rate, horizons shrink at the largest sizes so the
+    // single-cell column stays tractable. The naive column stops at
+    // NAIVE_MAX_SERVERS.
+    let (sat, light) = (SWEEP_RATE_PER_SERVER_HOUR, LIGHT_RATE_PER_SERVER_HOUR);
+    let sweep_cells: &[(usize, f64, f64)] = match mode {
         "small" => &[],
-        "scale-smoke" => &[(1000, 2.0)],
+        "scale-smoke" => &[(1000, 2.0, sat), (1000, 12.0, light)],
         _ => &[
-            (100, 24.0),
-            (1000, 24.0),
-            (5000, 6.0),
-            (10_000, 3.0),
-            (50_000, 2.0),
-            (100_000, 1.0),
+            (100, 24.0, sat),
+            (1000, 24.0, sat),
+            (5000, 6.0, sat),
+            (10_000, 3.0, sat),
+            (50_000, 2.0, sat),
+            (100_000, 1.0, sat),
+            (1000, 12.0, light),
+            (4000, 12.0, light),
+            (10_000, 6.0, light),
+            (50_000, 2.0, light),
         ],
     };
     let mut sweep_json = Vec::new();
-    for &(n, hours) in sweep_cells {
-        let cell_rate = SWEEP_RATE_PER_SERVER_HOUR * n as f64;
-        eprintln!("scale sweep: {n} servers, {hours} h, {cell_rate} arrivals/h");
-        let (idx, _) = time_runs(
+    for &(n, hours, per_server) in sweep_cells {
+        let cell_rate = per_server * n as f64;
+        let regime = if per_server == light {
+            "light"
+        } else {
+            "saturated"
+        };
+        eprintln!("scale sweep ({regime}): {n} servers, {hours} h, {cell_rate} arrivals/h");
+        let (idx, idx_result) = time_runs(
             &sim_cfg(
                 n,
                 hours,
@@ -323,6 +343,8 @@ fn main() {
                 "config",
                 row_config(n, hours, cell_rate, cells_arg, threads_arg),
             )
+            .with("regime", regime)
+            .with("mean_utilization", idx_result.mean_utilization)
             .with("indexed", run_json(&idx[0]))
             .with("sharded", run_json(&sha[0]))
             .with("speedup_sharded_vs_indexed", speedup_sharded);
@@ -340,7 +362,7 @@ fn main() {
     }
 
     let doc = JsonValue::object()
-        .with("schema_version", 3.0)
+        .with("schema_version", 4.0)
         .with(
             "config",
             row_config(n_servers, horizon_hours, rate, 1, 0).with("runs", runs as f64),

@@ -41,6 +41,44 @@
 //! (`dot / (|A| |D|)`, zero when the denominator is zero) — so fits,
 //! scores, and ties agree bitwise.
 //!
+//! **Free-vector classes.** A light fleet has few *distinct* free
+//! vectors: every instance type is a multiple of one shape, so thousands
+//! of placeable servers share a dozen free vectors. The index groups
+//! placeable servers into classes keyed by the exact bit pattern of
+//! their cached free vector (only for the free notion — deflation and
+//! preemption availability are continuous and would give one class per
+//! server). A dense free-tier BestFit query with `4 × classes ≤
+//! eligible` scores each fitting class once, and when the top class's
+//! cosine beats every other fitting class by at least `2e-9` it answers
+//! with the lowest server id in the top class. That is exact, not a
+//! heuristic:
+//!
+//! * rounded subtraction is monotone, so `top - c ≥ 2e-9` for the
+//!   runner-up means every comparison between a top-class server and
+//!   any other fitting server differs by more than `better`'s `1e-9`
+//!   fuzz and is decided on the cosine alone;
+//! * members of one class have bit-identical scores, so `better` never
+//!   replaces one with another.
+//!
+//! In the oracle's ascending scan the first top-class server therefore
+//! becomes the incumbent and stays. When the margin test fails — a tie
+//! within the fuzz, such as free vectors that are scalar multiples of
+//! one another, or any non-finite score — the query falls back to the
+//! ascending sweep, as do queries with too few eligible servers per
+//! class and every deflation- or preemption-tier query.
+//!
+//! Class upkeep is O(1) and allocation-free per refresh: a slab of
+//! classes with a spare list, unordered member-id vectors with
+//! per-server positions (like the buckets), and a fixed-size
+//! open-addressing table from key to class. A bitwise-unchanged free
+//! vector moves nothing, and a sole member re-keys its class in place,
+//! so under continuous free vectors a move costs one table removal and
+//! one insertion.
+//!
+//! Every query tallies its path (zero / selective / class / sweep) and
+//! the vectors BestFit scored in a [`PlacementWork`]; the counts do not
+//! depend on the host, so tests can bound the work exactly.
+//!
 //! Invalidation rides on [`PhysicalServer::version`]: every mutation
 //! choke point (`add_vm` / `remove_vm` / `deflate_vm` / `reinflate_vm` /
 //! `set_up`) bumps the counter, and the cluster manager calls
@@ -49,6 +87,8 @@
 //! cross-check the whole index against recomputation from live server
 //! state on every launch/exit ([`PlacementIndex::assert_consistent`]),
 //! mirroring PR 2's aggregate checks.
+
+use std::cell::Cell;
 
 use deflate_core::{ResourceKind, ResourceVector};
 use hypervisor::PhysicalServer;
@@ -68,6 +108,25 @@ const DIMS: usize = ResourceKind::ALL.len();
 /// Bucket sentinel for servers that are not placeable — down or
 /// partitioned — and therefore absent from every histogram.
 const UNBUCKETED: u16 = u16::MAX;
+/// Class sentinel for servers that are not placeable and so sit in no
+/// free-vector class.
+const NO_CLASS: u32 = u32::MAX;
+/// Smallest cosine lead of the top free-vector class over every other
+/// fitting class that lets the class path answer; twice `better`'s fuzz.
+const CLASS_MARGIN: f64 = 2e-9;
+
+/// The oracle's cosine fitness with the vector's norm precomputed: same
+/// expression, same inputs, same bits as
+/// [`ResourceVector::cosine_similarity`].
+#[inline]
+fn cosine(v: &ResourceVector, norm: f64, demand: &ResourceVector, demand_norm: f64) -> f64 {
+    let denom = norm * demand_norm;
+    if denom == 0.0 {
+        0.0
+    } else {
+        v.dot(demand) / denom
+    }
+}
 
 /// Index of a cached availability notion in [`Entry::vecs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +163,70 @@ struct Entry {
     /// This server's position inside each bucket's id vector, so a
     /// refresh can swap-remove it in O(1) instead of searching.
     pos: [[u32; DIMS]; NOTIONS],
+    /// Slot of this server's free-vector class; [`NO_CLASS`] when not
+    /// placeable.
+    class: u32,
+    /// This server's position inside its class's id vector.
+    class_pos: u32,
+}
+
+/// Exact bit pattern of a free vector: the free-vector class key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ClassKey([u64; DIMS]);
+
+impl ClassKey {
+    fn of(v: &ResourceVector) -> Self {
+        ClassKey(ResourceKind::ALL.map(|k| v.get(k).to_bits()))
+    }
+
+    /// Home position in a power-of-two class table: the four words
+    /// folded into one `u64` (rotate-xor, one multiply), with the high
+    /// half folded into the low bits the mask keeps. Keys come from
+    /// server state, and a collision costs a probe, never an answer.
+    fn home(&self, mask: usize) -> usize {
+        let [a, b, c, d] = self.0;
+        let h = (a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h ^ (h >> 32)) as usize & mask
+    }
+}
+
+/// The placeable servers whose cached free vector has one exact bit
+/// pattern. Members score bit-identically under BestFit, so a dense
+/// free-tier query scores the class once, through any member's cached
+/// vector and norm, instead of every member.
+#[derive(Debug, Clone)]
+struct Class {
+    key: ClassKey,
+    /// Unordered member ids; moves are O(1) via [`Entry::class_pos`].
+    ids: Vec<u32>,
+    /// This class's position in [`PlacementIndex::live`].
+    live_pos: u32,
+    /// This class's position in [`PlacementIndex::table`].
+    slot: u32,
+}
+
+/// Deterministic work done by the index's placement queries since it
+/// was built. A *query* is one availability tier of one
+/// [`PlacementIndex::choose`] call (a BestFit call that falls through
+/// the free tier makes two); each query takes exactly one path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlacementWork {
+    /// Queries no server could fit, answered from the histograms alone.
+    pub zero: u64,
+    /// Queries that gathered their few candidates from the buckets.
+    pub selective: u64,
+    /// BestFit queries answered by scoring free-vector classes.
+    pub class: u64,
+    /// Queries that swept an axis plane, fallbacks included.
+    pub sweep: u64,
+    /// Class-path attempts whose margin test failed, so they swept.
+    pub fallback: u64,
+    /// BestFit queries, whatever their path.
+    pub best_fit: u64,
+    /// Cosine scores BestFit evaluated: one per fitting server on the
+    /// bucket and sweep paths, one per fitting class on the class path.
+    pub scored: u64,
 }
 
 /// The histogram-planned, plane-swept placement index. See the module
@@ -134,12 +257,27 @@ pub struct PlacementIndex {
     quantum: [f64; DIMS],
     /// Element-wise max capacity over the fleet (heterogeneity-safe).
     ref_capacity: ResourceVector,
+    /// Slab of free-vector classes; empty slots are listed in
+    /// `spare_classes` and keep their id vector's capacity for reuse.
+    classes: Vec<Class>,
+    spare_classes: Vec<u32>,
+    /// Slots of the non-empty classes, unordered.
+    live: Vec<u32>,
+    /// Class slot by free-vector bit pattern: open addressing with
+    /// linear probing and backward-shift deletion, [`NO_CLASS`] for an
+    /// empty position. Sized once to at least four positions per server
+    /// (there is at most one class per server), so it stays at most a
+    /// quarter full, never rehashes and leaves no tombstones.
+    table: Vec<u32>,
+    /// Query work tallies; see [`PlacementIndex::work`].
+    work: Cell<PlacementWork>,
 }
 
 impl std::fmt::Debug for PlacementIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlacementIndex")
             .field("servers", &self.entries.len())
+            .field("free_classes", &self.live.len())
             .field("ref_capacity", &self.ref_capacity)
             .finish()
     }
@@ -174,6 +312,8 @@ impl PlacementIndex {
                     version: u64::MAX,
                     bucket: [[UNBUCKETED; DIMS]; NOTIONS],
                     pos: [[0; DIMS]; NOTIONS],
+                    class: NO_CLASS,
+                    class_pos: 0,
                 };
                 n
             ],
@@ -183,6 +323,11 @@ impl PlacementIndex {
             norms: vec![0.0; NOTIONS * n],
             quantum,
             ref_capacity,
+            classes: Vec::new(),
+            spare_classes: Vec::new(),
+            live: Vec::new(),
+            table: vec![NO_CLASS; (4 * n).next_power_of_two().max(8)],
+            work: Cell::new(PlacementWork::default()),
         };
         for (i, s) in servers.iter().enumerate() {
             index.refresh(i, s);
@@ -198,6 +343,17 @@ impl PlacementIndex {
     /// Whether the index covers zero servers.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The work the index's queries have done since it was built.
+    pub fn work(&self) -> PlacementWork {
+        self.work.get()
+    }
+
+    fn tally(&self, f: impl FnOnce(&mut PlacementWork)) {
+        let mut w = self.work.get();
+        f(&mut w);
+        self.work.set(w);
     }
 
     /// Flat index of one bucket.
@@ -296,11 +452,134 @@ impl PlacementIndex {
             self.cached[n * len + i] = vecs[n];
             self.norms[n * len + i] = vecs[n].norm();
         }
+        self.reclass(i, up.then(|| ClassKey::of(&vecs[Notion::Free as usize])));
         let e = &mut self.entries[i];
         e.vecs = vecs;
         e.up = up;
         e.version = version;
         e.bucket = new_buckets;
+    }
+
+    /// Moves server `i` into the class of its new free vector (none when
+    /// not placeable). No move when the bit pattern is unchanged; O(1)
+    /// and allocation-free once the slab has warmed up.
+    fn reclass(&mut self, i: usize, key: Option<ClassKey>) {
+        let old = self.entries[i].class;
+        if old != NO_CLASS {
+            let class = &self.classes[old as usize];
+            if Some(class.key) == key {
+                return;
+            }
+            if let (1, Some(key)) = (class.ids.len(), key) {
+                // A sole member re-keys its class in place unless another
+                // class holds the new key: the common move when free
+                // vectors are continuous.
+                self.unlink(old);
+                let slot = self.probe(&key);
+                if self.table[slot] == NO_CLASS {
+                    self.table[slot] = old;
+                    let class = &mut self.classes[old as usize];
+                    (class.key, class.slot) = (key, slot as u32);
+                    return;
+                }
+                let back = self.probe(&self.classes[old as usize].key);
+                self.table[back] = old;
+                self.classes[old as usize].slot = back as u32;
+            }
+            self.leave_class(i);
+        }
+        let Some(key) = key else {
+            return;
+        };
+        let slot = self.probe(&key);
+        let mut c = self.table[slot];
+        if c == NO_CLASS {
+            let fresh = Class {
+                key,
+                ids: Vec::new(),
+                live_pos: self.live.len() as u32,
+                slot: slot as u32,
+            };
+            c = match self.spare_classes.pop() {
+                Some(c) => {
+                    let spare = &mut self.classes[c as usize];
+                    let ids = std::mem::take(&mut spare.ids);
+                    *spare = Class { ids, ..fresh };
+                    c
+                }
+                None => {
+                    self.classes.push(fresh);
+                    (self.classes.len() - 1) as u32
+                }
+            };
+            self.live.push(c);
+            self.table[slot] = c;
+        }
+        let class = &mut self.classes[c as usize];
+        self.entries[i].class = c;
+        self.entries[i].class_pos = class.ids.len() as u32;
+        class.ids.push(i as u32);
+    }
+
+    /// Swap-removes server `i` from its class, retiring the class to the
+    /// spare list when it empties.
+    fn leave_class(&mut self, i: usize) {
+        let c = self.entries[i].class;
+        let pos = self.entries[i].class_pos as usize;
+        let class = &mut self.classes[c as usize];
+        debug_assert_eq!(class.ids[pos], i as u32, "class position desync");
+        class.ids.swap_remove(pos);
+        if let Some(&moved) = class.ids.get(pos) {
+            self.entries[moved as usize].class_pos = pos as u32;
+        }
+        if class.ids.is_empty() {
+            let lp = class.live_pos as usize;
+            self.unlink(c);
+            self.live.swap_remove(lp);
+            if let Some(&moved) = self.live.get(lp) {
+                self.classes[moved as usize].live_pos = lp as u32;
+            }
+            self.spare_classes.push(c);
+        }
+        self.entries[i].class = NO_CLASS;
+    }
+
+    /// The table position holding `key`'s class, or the empty position
+    /// that ends its probe run.
+    fn probe(&self, key: &ClassKey) -> usize {
+        let mask = self.table.len() - 1;
+        let mut p = key.home(mask);
+        loop {
+            let c = self.table[p];
+            if c == NO_CLASS || self.classes[c as usize].key == *key {
+                return p;
+            }
+            p = (p + 1) & mask;
+        }
+    }
+
+    /// Removes class `c` from the table, shifting later classes of its
+    /// probe run back into the hole so every run stays unbroken.
+    fn unlink(&mut self, c: u32) {
+        let mask = self.table.len() - 1;
+        let mut hole = self.classes[c as usize].slot as usize;
+        let mut p = hole;
+        loop {
+            p = (p + 1) & mask;
+            let d = self.table[p];
+            if d == NO_CLASS {
+                break;
+            }
+            // `d` may move back when the hole lies on its probe path,
+            // i.e. is no farther from `p` than `d`'s home position.
+            let home = self.classes[d as usize].key.home(mask);
+            if p.wrapping_sub(home) & mask >= p.wrapping_sub(hole) & mask {
+                self.table[hole] = d;
+                self.classes[d as usize].slot = hole as u32;
+                hole = p;
+            }
+        }
+        self.table[hole] = NO_CLASS;
     }
 
     /// The query plan for one (notion, demand) pair: the sweep axis, the
@@ -346,16 +625,15 @@ impl PlacementIndex {
     /// tested with the same `dominates` on the same cached vectors, so
     /// the answer is identical.
     fn first_fit(&self, notion: Notion, demand: &ResourceVector) -> Option<usize> {
-        if self.entries.is_empty() {
-            return None;
-        }
         let (d, k0, demand_d, eligible) = self.plan(notion, demand);
         if eligible == 0 {
+            self.tally(|w| w.zero += 1);
             return None;
         }
         let n = notion as usize;
         let cached = self.cached_plane(n);
         if self.selective(eligible) {
+            self.tally(|w| w.selective += 1);
             let mut best = u32::MAX;
             for k in k0..NBUCKETS {
                 for &i in &self.buckets[Self::bucket_idx(n, d, k)] {
@@ -366,6 +644,7 @@ impl PlacementIndex {
             }
             return (best != u32::MAX).then_some(best as usize);
         }
+        self.tally(|w| w.sweep += 1);
         let plane = self.axis_plane(n, d);
         plane
             .iter()
@@ -378,41 +657,50 @@ impl PlacementIndex {
     /// evaluated in ascending server index (scan order is part of the
     /// contract — the shared fuzzy comparison is intransitive), each
     /// survivor scored with its precomputed norm. Selective queries sort
-    /// the few candidate ids gathered from the buckets; dense queries
-    /// sweep the axis plane.
+    /// the few candidate ids gathered from the buckets; dense free-tier
+    /// queries try the free-vector classes; the rest sweep the axis
+    /// plane.
     fn best_fit(&self, notion: Notion, demand: &ResourceVector) -> Option<usize> {
-        if self.entries.is_empty() {
-            return None;
-        }
         let (d, k0, demand_d, eligible) = self.plan(notion, demand);
         if eligible == 0 {
+            self.tally(|w| {
+                w.best_fit += 1;
+                w.zero += 1;
+            });
             return None;
+        }
+        let nd = demand.norm();
+        let selective = self.selective(eligible);
+        let mut scored = 0u64;
+        let mut fell_back = false;
+        if !selective && notion == Notion::Free && 4 * self.live.len() <= eligible {
+            if let Some(answer) = self.best_fit_by_class(demand, nd, &mut scored) {
+                self.tally(|w| {
+                    w.best_fit += 1;
+                    w.class += 1;
+                    w.scored += scored;
+                });
+                return answer;
+            }
+            fell_back = true;
         }
         let n = notion as usize;
         let cached = self.cached_plane(n);
         let norms = self.norm_plane(n);
-        let nd = demand.norm();
         let mut best: Option<(usize, (f64, f64))> = None;
         let mut consider = |i: usize| {
             if !cached[i].dominates(demand) {
                 return;
             }
-            // The oracle's `score` with the norm component precomputed:
-            // same expression, same inputs, same bits.
+            scored += 1;
             let na = norms[i];
-            let denom = na * nd;
-            let cos = if denom == 0.0 {
-                0.0
-            } else {
-                cached[i].dot(demand) / denom
-            };
-            let sc = (cos, na);
+            let sc = (cosine(&cached[i], na, demand, nd), na);
             debug_assert_eq!(sc, score(&cached[i], demand));
             if best.map_or(true, |(_, bs)| better(sc, bs)) {
                 best = Some((i, sc));
             }
         };
-        if self.selective(eligible) {
+        if selective {
             let mut candidates: Vec<u32> = Vec::with_capacity(eligible);
             for k in k0..NBUCKETS {
                 candidates.extend_from_slice(&self.buckets[Self::bucket_idx(n, d, k)]);
@@ -429,7 +717,62 @@ impl PlacementIndex {
                 }
             }
         }
+        self.tally(|w| {
+            w.best_fit += 1;
+            w.fallback += u64::from(fell_back);
+            w.scored += scored;
+            if selective {
+                w.selective += 1;
+            } else {
+                w.sweep += 1;
+            }
+        });
         best.map(|(i, _)| i)
+    }
+
+    /// The free-tier BestFit answer from the free-vector classes, or
+    /// `None` when the classes cannot decide it: the top class's cosine
+    /// must beat every other fitting class by [`CLASS_MARGIN`] and every
+    /// score must be finite (see the module docs for why that makes the
+    /// answer the oracle's). `Some(None)` means no placeable server
+    /// free-fits. Adds the classes it scores to `scored`.
+    fn best_fit_by_class(
+        &self,
+        demand: &ResourceVector,
+        nd: f64,
+        scored: &mut u64,
+    ) -> Option<Option<usize>> {
+        let f = Notion::Free as usize;
+        let (cached, norms) = (self.cached_plane(f), self.norm_plane(f));
+        let mut top: Option<(u32, f64)> = None;
+        let mut runner_up = f64::NEG_INFINITY;
+        for &c in &self.live {
+            let any = self.classes[c as usize].ids[0] as usize;
+            if !cached[any].dominates(demand) {
+                continue;
+            }
+            *scored += 1;
+            let cos = cosine(&cached[any], norms[any], demand, nd);
+            if !cos.is_finite() {
+                return None;
+            }
+            let t = top.map_or(f64::NEG_INFINITY, |(_, t)| t);
+            if cos > t {
+                runner_up = t;
+                top = Some((c, cos));
+            } else {
+                runner_up = runner_up.max(cos);
+            }
+        }
+        let Some((c, t)) = top else {
+            return Some(None);
+        };
+        if t - runner_up < CLASS_MARGIN {
+            return None;
+        }
+        let ids = &self.classes[c as usize].ids;
+        let lowest = ids.iter().min().expect("live classes are non-empty");
+        Some(Some(*lowest as usize))
     }
 
     /// Indexed [`choose_server_with`](crate::placement::choose_server_with):
@@ -532,10 +875,10 @@ impl PlacementIndex {
         best.map(|(i, _)| i)
     }
 
-    /// Panics when any cached entry, histogram count, axis value, or
-    /// cached norm disagrees with a full recomputation from live server
-    /// state — the index's analogue of PR 2's
-    /// `assert_aggregates_consistent`. O(servers); debug builds run it
+    /// Panics when any cached entry, histogram count, axis value, cached
+    /// norm, or free-vector class disagrees with a full recomputation
+    /// from live server state — the index's analogue of the manager's
+    /// aggregate checks. O(servers); debug builds run it
     /// on every launch/exit, tests may call it in release too.
     pub fn assert_consistent(&self, servers: &[PhysicalServer]) {
         assert_eq!(
@@ -545,6 +888,7 @@ impl PlacementIndex {
         );
         let len = self.entries.len();
         let mut populated = 0usize;
+        let mut distinct = std::collections::HashSet::new();
         for (i, (e, s)) in self.entries.iter().zip(servers).enumerate() {
             assert_eq!(e.version, s.version(), "server {i}: stale index version");
             assert_eq!(e.up, s.placeable(), "server {i}: stale placeability flag");
@@ -601,8 +945,54 @@ impl PlacementIndex {
             }
             if e.up {
                 populated += 1;
+                let c = e.class;
+                assert!(
+                    c != NO_CLASS && ClassKey::of(&free) == self.classes[c as usize].key,
+                    "server {i}: wrong free-vector class"
+                );
+                let class = &self.classes[c as usize];
+                assert_eq!(
+                    class.ids.get(e.class_pos as usize),
+                    Some(&(i as u32)),
+                    "server {i}: class position desync"
+                );
+                distinct.insert(class.key);
+            } else {
+                assert_eq!(
+                    e.class, NO_CLASS,
+                    "server {i}: unplaceable server in a class"
+                );
             }
         }
+        let mut members = 0usize;
+        for (lp, &c) in self.live.iter().enumerate() {
+            let class = &self.classes[c as usize];
+            assert!(!class.ids.is_empty(), "class {c}: empty live class");
+            assert_eq!(
+                class.live_pos as usize, lp,
+                "class {c}: live position desync"
+            );
+            assert_eq!(
+                (self.table[class.slot as usize], self.probe(&class.key)),
+                (c, class.slot as usize),
+                "class {c}: key table desync"
+            );
+            members += class.ids.len();
+        }
+        assert_eq!(
+            members, populated,
+            "class membership count != placeable servers"
+        );
+        assert_eq!(
+            self.live.len(),
+            distinct.len(),
+            "class count != distinct free vectors"
+        );
+        assert_eq!(
+            self.table.iter().filter(|&&c| c != NO_CLASS).count(),
+            self.live.len(),
+            "stale key table entries"
+        );
         for n in 0..NOTIONS {
             for d in 0..DIMS {
                 let total: usize = (0..NBUCKETS)
@@ -721,6 +1111,94 @@ mod tests {
         let mut servers = fleet(1);
         let index = PlacementIndex::new(&servers);
         servers[0].add_vm(Vm::new(VmId(1), spec(2.0), VmPriority::High));
+        index.assert_consistent(&servers);
+    }
+
+    #[test]
+    fn identical_free_vectors_share_a_class() {
+        let mut servers = fleet(4);
+        for (i, s) in servers.iter_mut().take(2).enumerate() {
+            s.add_vm(Vm::new(VmId(i as u64), spec(2.0), VmPriority::High));
+        }
+        let mut index = PlacementIndex::new(&servers);
+        index.assert_consistent(&servers);
+        assert_eq!(index.live.len(), 2);
+        // Emptying server 0 moves it into the empty servers' class.
+        servers[0].remove_vm(VmId(0));
+        index.refresh(0, &servers[0]);
+        index.assert_consistent(&servers);
+        assert_eq!(index.entries[0].class, index.entries[2].class);
+        // Emptying server 1 too retires its old class to the spare list.
+        servers[1].remove_vm(VmId(1));
+        index.refresh(1, &servers[1]);
+        index.assert_consistent(&servers);
+        assert_eq!((index.live.len(), index.spare_classes.len()), (1, 1));
+    }
+
+    /// Two classes whose cosines differ by less than `better`'s fuzz:
+    /// the scan breaks the tie by norm, so the class path must not
+    /// answer from the higher cosine.
+    #[test]
+    fn near_tied_classes_fall_back_to_the_sweep() {
+        let a = ResourceVector::new(16.0, 65_536.0, 400.0, 800.0);
+        let b = ResourceVector::new(31.5, 131_072.0, 800.0, 1_600.0);
+        let demand = ResourceVector::new(1.0, 2_048.0, 25.0, 50.0);
+        let gap = a.cosine_similarity(&demand) - b.cosine_similarity(&demand);
+        assert!(gap > 5e-10 && gap < 1e-9, "gap {gap}");
+        let servers: Vec<PhysicalServer> = (0..8)
+            .map(|i| PhysicalServer::new(ServerId(i), if i < 4 { a } else { b }))
+            .collect();
+        let index = PlacementIndex::new(&servers);
+        let (policy, mode) = (PlacementPolicy::BestFit, AvailabilityMode::Deflation);
+        let mut rng = SimRng::seed_from_u64(1);
+        let pick = index.choose(policy, &servers, &demand, mode, &mut rng);
+        assert_eq!(pick, Some(4), "the larger norm wins the tie");
+        assert_eq!(
+            pick,
+            choose_server_with(policy, &servers, &demand, mode, &mut rng)
+        );
+        let work = index.work();
+        assert_eq!((work.class, work.fallback), (0, 1), "{work:?}");
+    }
+
+    /// Continuous free vectors churn the class table: re-keys, joins,
+    /// retirements and backward shifts inside colliding probe runs must
+    /// keep every class findable.
+    #[test]
+    fn class_table_survives_churn() {
+        let mut servers = fleet(16);
+        let mut index = PlacementIndex::new(&servers);
+        let mut rng = SimRng::seed_from_u64(5);
+        for step in 0..2_000u64 {
+            let si = rng.index(servers.len());
+            let id = VmId(si as u64);
+            if servers[si].remove_vm(id).is_none() {
+                // A few sizes repeat, so servers also share classes.
+                let cpu = if rng.chance(0.3) {
+                    2.0
+                } else {
+                    rng.uniform_range(0.5, 8.0)
+                };
+                servers[si].add_vm(Vm::new(id, spec(cpu), VmPriority::High));
+            }
+            if step % 97 == 0 {
+                let up = servers[si].is_up();
+                servers[si].set_up(!up);
+            }
+            index.refresh(si, &servers[si]);
+            index.assert_consistent(&servers);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong free-vector class")]
+    fn stale_class_is_caught() {
+        let mut servers = fleet(2);
+        servers[1].add_vm(Vm::new(VmId(1), spec(2.0), VmPriority::High));
+        let mut index = PlacementIndex::new(&servers);
+        // Leave server 0 in server 1's class, as a refresh that skipped
+        // the class move would.
+        index.entries[0].class = index.entries[1].class;
         index.assert_consistent(&servers);
     }
 
